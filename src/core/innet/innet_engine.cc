@@ -29,17 +29,6 @@ void MergePartialVectors(std::vector<PartialAggregate>& into,
   for (std::size_t i = 0; i < into.size(); ++i) into[i].Merge(from[i]);
 }
 
-std::vector<QueryId> AllQueriesOf(
-    const std::map<NodeId, std::vector<QueryId>>& dest_queries) {
-  std::vector<QueryId> queries;
-  for (const auto& [dest, qs] : dest_queries) {
-    queries.insert(queries.end(), qs.begin(), qs.end());
-  }
-  std::sort(queries.begin(), queries.end());
-  queries.erase(std::unique(queries.begin(), queries.end()), queries.end());
-  return queries;
-}
-
 }  // namespace
 
 void ApplyReliabilityProfile(ReliabilityProfile profile,
@@ -80,7 +69,7 @@ InNetworkEngine::InNetworkEngine(Network& network, const FieldModel& field,
           if (neighbor == kBaseStationId) return;
           // Feed the ARQ's flapping detection into the parent blacklist so
           // route selection avoids the neighbor for the same horizon.
-          Suspicion& suspicion = nodes_[self].suspicion[neighbor];
+          Suspicion& suspicion = NeighborOf(self, neighbor).suspicion;
           suspicion.blacklisted_until =
               std::max(suspicion.blacklisted_until, until);
           if (trace_ != nullptr) {
@@ -222,7 +211,7 @@ void InNetworkEngine::HandleMessage(NodeId self, const Message& msg,
   if (options_.liveness_timeout_ms > 0) NoteAlive(self, msg.sender);
 
   if (const auto* prop =
-          dynamic_cast<const InNetPropagationPayload*>(msg.payload.get())) {
+          PayloadAs<InNetPropagationPayload>(msg.payload.get())) {
     const QueryId id = prop->query.id();
     // Piggybacked data bit: learn it from every copy of the flood, even
     // duplicates, but only about upper-level neighbors.
@@ -272,8 +261,7 @@ void InNetworkEngine::HandleMessage(NodeId self, const Message& msg,
     return;
   }
 
-  if (const auto* abort =
-          dynamic_cast<const QueryAbortPayload*>(msg.payload.get())) {
+  if (const auto* abort = PayloadAs<QueryAbortPayload>(msg.payload.get())) {
     if (state.seen_abort.contains(abort->query)) return;
     state.seen_abort.insert(abort->query);
     if (self == kBaseStationId) return;
@@ -296,8 +284,7 @@ void InNetworkEngine::HandleMessage(NodeId self, const Message& msg,
     return;
   }
 
-  if (const auto* row =
-          dynamic_cast<const SharedRowPayload*>(msg.payload.get())) {
+  if (const auto* row = PayloadAs<SharedRowPayload>(msg.payload.get())) {
     // The broadcast channel teaches us who has data: a row batch heard
     // from a neighbor that contains the neighbor's own reading marks it.
     for (const RowEntry& entry : row->entries) {
@@ -351,12 +338,12 @@ void InNetworkEngine::HandleMessage(NodeId self, const Message& msg,
     return;
   }
 
-  if (const auto* agg =
-          dynamic_cast<const SharedAggPayload*>(msg.payload.get())) {
+  if (const auto* agg = PayloadAs<SharedAggPayload>(msg.payload.get())) {
     // Any carrier of partials for q is a good parent for q: forwarding to
     // it lets the aggregates merge one hop earlier.
-    NoteHasData(self, msg.sender, AllQueriesOf(agg->dest_queries),
-                agg->epoch_time);
+    for (const auto& [dest, queries] : agg->dest_queries) {
+      NoteHasData(self, msg.sender, queries, agg->epoch_time);
+    }
     if (!addressed) return;
     const auto it = agg->dest_queries.find(self);
     if (it == agg->dest_queries.end() || it->second.empty()) return;
@@ -388,16 +375,14 @@ void InNetworkEngine::HandleMessage(NodeId self, const Message& msg,
     return;
   }
 
-  if (const auto* req =
-          dynamic_cast<const RepairRequestPayload*>(msg.payload.get())) {
+  if (const auto* req = PayloadAs<RepairRequestPayload>(msg.payload.get())) {
     if (!addressed || self == kBaseStationId) return;
     if (network_.IsAsleep(self)) network_.SetAsleep(self, false);
     HandleRepairRequest(self, *req);
     return;
   }
 
-  if (const auto* reply =
-          dynamic_cast<const RepairReplyPayload*>(msg.payload.get())) {
+  if (const auto* reply = PayloadAs<RepairReplyPayload>(msg.payload.get())) {
     if (!addressed) return;
     if (network_.IsAsleep(self)) network_.SetAsleep(self, false);
     HandleRepairReply(self, msg, *reply);
@@ -622,20 +607,20 @@ void InNetworkEngine::OnSlot(NodeId self, SimTime t) {
 // -----------------------------------------------------------------------
 
 std::map<NodeId, std::vector<QueryId>> InNetworkEngine::ChooseParents(
-    NodeId self, std::vector<QueryId> queries) {
+    NodeId self, const std::vector<QueryId>& queries) {
   std::map<NodeId, std::vector<QueryId>> groups;
   if (!options_.query_aware_routing) {
-    groups.emplace(tree_.ParentOf(self), std::move(queries));
+    groups.emplace(tree_.ParentOf(self), queries);
     return groups;
   }
-  const NodeState& state = nodes_[self];
   // Beacon-based failure detection plus liveness: dead neighbors are never
   // candidates, and neighbors silent past the liveness timeout are
   // blacklisted with bounded backoff.  When every upper-level neighbor is
   // suspect, fall back to the merely-not-failed set; when all are dead the
   // node is cut off — fall back to the full list (the messages will be
   // lost, which is the truth).
-  std::vector<NodeId> upper;
+  std::vector<NodeId>& upper = upper_scratch_;
+  upper.clear();
   for (NodeId candidate : levels_.UpperNeighbors(self)) {
     if (!network_.IsFailed(candidate) && !SuspectParent(self, candidate) &&
         !(arq_ && candidate != kBaseStationId &&
@@ -648,55 +633,70 @@ std::map<NodeId, std::vector<QueryId>> InNetworkEngine::ChooseParents(
       if (!network_.IsFailed(candidate)) upper.push_back(candidate);
     }
   }
-  if (upper.empty()) upper = levels_.UpperNeighbors(self);
+  if (upper.empty()) {
+    const auto& all = levels_.UpperNeighbors(self);
+    upper.assign(all.begin(), all.end());
+  }
   Check(!upper.empty(), "every non-root node has an upper-level neighbor");
+  const NodeState& state = nodes_[self];
   const SimTime now = network_.sim().Now();
 
-  auto is_fresh = [&](NodeId neighbor, QueryId q) {
-    const auto nb_it = state.has_data.find(neighbor);
-    if (nb_it == state.has_data.end()) return false;
-    const auto q_it = nb_it->second.find(q);
-    if (q_it == nb_it->second.end()) return false;
-    const auto active_it = state.active.find(q);
-    if (active_it == state.active.end()) return false;
-    const SimDuration ttl = static_cast<SimDuration>(
-                                options_.has_data_ttl_epochs) *
-                            active_it->second.epoch();
-    return q_it->second + ttl >= now;
-  };
+  // Whether a candidate is fresh for a query (it advertised data for it
+  // within the query's TTL) does not change during the call: tabulate it.
+  const std::size_t num_queries = queries.size();
+  std::vector<char>& fresh = fresh_scratch_;
+  fresh.assign(upper.size() * num_queries, 0);
+  for (std::size_t c = 0; c < upper.size() && !state.neighbors.empty(); ++c) {
+    const auto& has_data =
+        state.neighbors[network_.topology().NeighborIndex(self, upper[c])]
+            .has_data;
+    for (std::size_t i = 0; i < num_queries; ++i) {
+      const auto q_it = std::lower_bound(
+          has_data.begin(), has_data.end(), queries[i],
+          [](const auto& entry, QueryId q) { return entry.first < q; });
+      if (q_it == has_data.end() || q_it->first != queries[i]) continue;
+      const auto active_it = state.active.find(queries[i]);
+      if (active_it == state.active.end()) continue;
+      const SimDuration ttl = static_cast<SimDuration>(
+                                  options_.has_data_ttl_epochs) *
+                              active_it->second.epoch();
+      fresh[c * num_queries + i] = q_it->second + ttl >= now;
+    }
+  }
 
-  std::vector<QueryId> remaining = std::move(queries);
-  while (!remaining.empty()) {
-    NodeId best = upper.front();
-    std::vector<QueryId> best_covered;
+  // Greedy cover: the candidate fresh for most still-ungrouped queries
+  // (ties to the better link) takes them, until nobody is fresh for the
+  // rest.
+  std::vector<char>& grouped = grouped_scratch_;
+  grouped.assign(num_queries, 0);
+  std::size_t remaining = num_queries;
+  while (remaining > 0) {
+    std::size_t best = 0;
+    std::size_t best_covered = 0;
     double best_quality = -1.0;
-    for (NodeId candidate : upper) {
-      std::vector<QueryId> covered;
-      for (QueryId q : remaining) {
-        if (is_fresh(candidate, q)) covered.push_back(q);
+    for (std::size_t c = 0; c < upper.size(); ++c) {
+      std::size_t covered = 0;
+      for (std::size_t i = 0; i < num_queries; ++i) {
+        covered += !grouped[i] && fresh[c * num_queries + i];
       }
-      const double quality = network_.link_quality().Quality(self, candidate);
-      if (covered.size() > best_covered.size() ||
-          (covered.size() == best_covered.size() &&
-           quality > best_quality)) {
-        best = candidate;
-        best_covered = std::move(covered);
+      const double quality = network_.link_quality().Quality(self, upper[c]);
+      if (covered > best_covered ||
+          (covered == best_covered && quality > best_quality)) {
+        best = c;
+        best_covered = covered;
         best_quality = quality;
       }
     }
-    if (best_covered.empty()) {
-      // Nobody advertises data for the rest: give it to the most stable
-      // link (this degenerates to TinyDB's choice on a cold start).
-      auto& bucket = groups[best];
-      bucket.insert(bucket.end(), remaining.begin(), remaining.end());
-      break;
+    // Nobody advertises data for the rest: give it to the most stable
+    // link (this degenerates to TinyDB's choice on a cold start).
+    const bool take_all = best_covered == 0;
+    auto& bucket = groups[upper[best]];
+    for (std::size_t i = 0; i < num_queries; ++i) {
+      if (grouped[i] || !(take_all || fresh[best * num_queries + i])) continue;
+      bucket.push_back(queries[i]);
+      grouped[i] = 1;
+      --remaining;
     }
-    auto& bucket = groups[best];
-    bucket.insert(bucket.end(), best_covered.begin(), best_covered.end());
-    std::erase_if(remaining, [&](QueryId q) {
-      return std::find(best_covered.begin(), best_covered.end(), q) !=
-             best_covered.end();
-    });
   }
   for (auto& [parent, qs] : groups) std::sort(qs.begin(), qs.end());
   return groups;
@@ -741,7 +741,7 @@ void InNetworkEngine::SendAgg(
   auto payload = std::make_shared<SharedAggPayload>();
   payload->epoch_time = t;
   payload->partials = std::move(partials);
-  payload->dest_queries = ChooseParents(self, std::move(queries));
+  payload->dest_queries = ChooseParents(self, queries);
 
   Message msg;
   msg.cls = MessageClass::kResult;
@@ -801,8 +801,7 @@ void InNetworkEngine::OnArqGiveUp(const ArqTransport::GiveUpInfo& info) {
                         static_cast<std::int64_t>(info.reroutes + 1)));
   }
   current_reroute_ = info.reroutes + 1;
-  if (const auto* row =
-          dynamic_cast<const SharedRowPayload*>(info.inner.get())) {
+  if (const auto* row = PayloadAs<SharedRowPayload>(info.inner.get())) {
     // Keep only the (row, query) pairs whose destination never acked; the
     // quarantine the give-up produced steers ChooseParents elsewhere.
     std::set<QueryId> lost;
@@ -823,8 +822,7 @@ void InNetworkEngine::OnArqGiveUp(const ArqTransport::GiveUpInfo& info) {
     if (!entries.empty()) {
       SendRows(info.sender, row->epoch_time, std::move(entries));
     }
-  } else if (const auto* agg =
-                 dynamic_cast<const SharedAggPayload*>(info.inner.get())) {
+  } else if (const auto* agg = PayloadAs<SharedAggPayload>(info.inner.get())) {
     std::set<QueryId> lost;
     for (NodeId dest : info.unacked) {
       const auto it = agg->dest_queries.find(dest);
@@ -838,8 +836,7 @@ void InNetworkEngine::OnArqGiveUp(const ArqTransport::GiveUpInfo& info) {
     if (!partials.empty()) {
       SendAgg(info.sender, agg->epoch_time, std::move(partials));
     }
-  } else if (dynamic_cast<const RepairReplyPayload*>(info.inner.get()) !=
-             nullptr) {
+  } else if (PayloadAs<RepairReplyPayload>(info.inner.get()) != nullptr) {
     // The quarantined hop is now avoided by ControlParent; try another.
     ForwardRepairReply(
         info.sender,
@@ -1047,30 +1044,36 @@ void InNetworkEngine::HandleRepairReply(NodeId self, const Message& msg,
   }
 }
 
+InNetworkEngine::NeighborState& InNetworkEngine::NeighborOf(NodeId self,
+                                                           NodeId neighbor) {
+  auto& neighbors = nodes_[self].neighbors;
+  if (neighbors.empty()) {
+    neighbors.resize(network_.topology().NeighborsOf(self).size());
+  }
+  return neighbors[network_.topology().NeighborIndex(self, neighbor)];
+}
+
 void InNetworkEngine::NoteAlive(NodeId self, NodeId sender) {
-  NodeState& state = nodes_[self];
-  SimTime& last = state.last_heard[sender];
-  last = std::max(last, network_.sim().Now());
-  state.suspicion.erase(sender);  // fresh traffic resets the backoff
+  NeighborState& neighbor = NeighborOf(self, sender);
+  neighbor.last_heard = std::max(neighbor.last_heard, network_.sim().Now());
+  neighbor.suspicion = Suspicion{};  // fresh traffic resets the backoff
 }
 
 bool InNetworkEngine::SuspectParent(NodeId self, NodeId candidate) {
-  NodeState& state = nodes_[self];
+  // Nothing recorded about any neighbor and nothing to record: without
+  // liveness tracking only an existing blacklist entry could apply.
+  if (nodes_[self].neighbors.empty() && options_.liveness_timeout_ms <= 0) {
+    return false;
+  }
+  NeighborState& neighbor = NeighborOf(self, candidate);
+  Suspicion& suspicion = neighbor.suspicion;
   const SimTime now = network_.sim().Now();
   // An existing blacklist entry applies even without liveness tracking:
   // the ARQ quarantine hook writes here too.
-  const auto susp_it = state.suspicion.find(candidate);
-  if (susp_it != state.suspicion.end() &&
-      now < susp_it->second.blacklisted_until) {
-    return true;
-  }
+  if (now < suspicion.blacklisted_until) return true;
   if (options_.liveness_timeout_ms <= 0) return false;
-  const auto heard_it = state.last_heard.find(candidate);
-  const SimTime last = heard_it != state.last_heard.end() ? heard_it->second
-                                                          : 0;
-  if (now - last <= options_.liveness_timeout_ms) return false;
+  if (now - neighbor.last_heard <= options_.liveness_timeout_ms) return false;
   // Silent past the timeout: blacklist with a doubling, bounded backoff.
-  Suspicion& suspicion = state.suspicion[candidate];
   suspicion.backoff =
       suspicion.backoff == 0
           ? options_.blacklist_base_backoff_ms
@@ -1079,8 +1082,8 @@ bool InNetworkEngine::SuspectParent(NodeId self, NodeId candidate) {
   // Optimistic probe: pretend the candidate was heard at expiry so it gets
   // one fresh chance before the next (doubled) blacklist — bounded
   // re-selection after recovery.
-  SimTime& heard = state.last_heard[candidate];
-  heard = std::max(heard, suspicion.blacklisted_until);
+  neighbor.last_heard =
+      std::max(neighbor.last_heard, suspicion.blacklisted_until);
   if (trace_ != nullptr) {
     EmitTrace(TraceEvent("tier2.parent_blacklist")
                   .With("node", static_cast<std::int64_t>(self))
@@ -1095,10 +1098,16 @@ void InNetworkEngine::NoteHasData(NodeId self, NodeId sender,
                                   SimTime when) {
   // Only upper-level neighbors are parent candidates.
   if (levels_.LevelOf(sender) + 1 != levels_.LevelOf(self)) return;
-  auto& per_neighbor = nodes_[self].has_data[sender];
+  auto& has_data = NeighborOf(self, sender).has_data;
   for (QueryId q : queries) {
-    SimTime& last = per_neighbor[q];
-    last = std::max(last, when);
+    const auto it = std::lower_bound(
+        has_data.begin(), has_data.end(), q,
+        [](const auto& entry, QueryId key) { return entry.first < key; });
+    if (it != has_data.end() && it->first == q) {
+      it->second = std::max(it->second, when);
+    } else {
+      has_data.emplace(it, q, std::max(SimTime{0}, when));
+    }
   }
 }
 
@@ -1120,8 +1129,7 @@ void InNetworkEngine::MaybeSleep(NodeId self, SimTime t) {
 // -----------------------------------------------------------------------
 
 void InNetworkEngine::BsAccept(const Message& msg) {
-  if (const auto* row =
-          dynamic_cast<const SharedRowPayload*>(msg.payload.get())) {
+  if (const auto* row = PayloadAs<SharedRowPayload>(msg.payload.get())) {
     const auto it = row->dest_queries.find(kBaseStationId);
     if (it == row->dest_queries.end()) return;
     for (const RowEntry& entry : row->entries) {
@@ -1155,8 +1163,7 @@ void InNetworkEngine::BsAccept(const Message& msg) {
     }
     return;
   }
-  if (const auto* agg =
-          dynamic_cast<const SharedAggPayload*>(msg.payload.get())) {
+  if (const auto* agg = PayloadAs<SharedAggPayload>(msg.payload.get())) {
     const auto it = agg->dest_queries.find(kBaseStationId);
     if (it == agg->dest_queries.end()) return;
     for (QueryId q : it->second) {

@@ -147,6 +147,19 @@ class InNetworkEngine final : public QueryEngine {
     SimDuration backoff = 0;
   };
 
+  /// What a node knows about one radio neighbor.  A default-constructed
+  /// entry is a neighbor never heard from, never suspected.
+  struct NeighborState {
+    /// Liveness: last time anything was heard from it (only maintained
+    /// when `liveness_timeout_ms > 0`).
+    SimTime last_heard = 0;
+    /// Current / previous blacklisting as a parent candidate.
+    Suspicion suspicion;
+    /// (query, tick the neighbor was last known to have data for it),
+    /// ascending by query; upper-level neighbors only.
+    std::vector<std::pair<QueryId, SimTime>> has_data;
+  };
+
   struct NodeState {
     std::map<QueryId, Query> active;
     /// Highest dissemination round seen per query (absent = never seen).
@@ -155,8 +168,9 @@ class InNetworkEngine final : public QueryEngine {
     /// Queries whose propagation this node forwarded (abort floods follow
     /// the same prune).
     std::set<QueryId> relayed_propagation;
-    /// neighbor -> (query -> tick the neighbor was last known to have data).
-    std::map<NodeId, std::map<QueryId, SimTime>> has_data;
+    /// Per neighbor, indexed by `Topology::NeighborIndex` (grown on
+    /// demand): liveness, suspicion and has-data facts.
+    std::vector<NeighborState> neighbors;
     /// Per tick: partial state per query, merged until the slot fires.
     std::map<SimTime, std::map<QueryId, std::vector<PartialAggregate>>>
         agg_buffer;
@@ -170,11 +184,6 @@ class InNetworkEngine final : public QueryEngine {
     SimTime last_relay = std::numeric_limits<SimTime>::min();
     /// Whether the node produced data at its last tick.
     bool matched_last_tick = false;
-    /// Liveness: last time anything was heard from each neighbor (only
-    /// maintained when `liveness_timeout_ms > 0`).
-    std::map<NodeId, SimTime> last_heard;
-    /// Currently / previously blacklisted parent candidates.
-    std::map<NodeId, Suspicion> suspicion;
     /// (query, epoch, source) row keys already relayed (duplicate
     /// suppression); pruned with the per-tick horizon.
     std::set<std::tuple<QueryId, SimTime, NodeId>> seen_rows;
@@ -224,9 +233,11 @@ class InNetworkEngine final : public QueryEngine {
   void SendAgg(NodeId self, SimTime t,
                std::map<QueryId, std::vector<PartialAggregate>> partials);
   std::map<NodeId, std::vector<QueryId>> ChooseParents(
-      NodeId self, std::vector<QueryId> queries);
+      NodeId self, const std::vector<QueryId>& queries);
   void NoteHasData(NodeId self, NodeId sender,
                    const std::vector<QueryId>& queries, SimTime when);
+  /// `self`'s record of `neighbor` (grows the per-neighbor table).
+  NeighborState& NeighborOf(NodeId self, NodeId neighbor);
   /// Liveness tracking: records that `self` heard from `sender` now and
   /// clears any suspicion of it.
   void NoteAlive(NodeId self, NodeId sender);
@@ -294,6 +305,12 @@ class InNetworkEngine final : public QueryEngine {
   std::optional<ArqTransport> arq_;
   /// Re-route depth of the send currently in flight (give-up chains cap).
   int current_reroute_ = 0;
+  /// ChooseParents scratch, reused across calls: the usable candidates,
+  /// the (candidate, query) freshness matrix and which queries are
+  /// already grouped.
+  std::vector<NodeId> upper_scratch_;
+  std::vector<char> fresh_scratch_;
+  std::vector<char> grouped_scratch_;
   std::uint64_t duplicates_suppressed_ = 0;
   std::uint64_t late_drops_ = 0;
   std::uint64_t repair_requests_ = 0;

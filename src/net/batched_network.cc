@@ -371,16 +371,26 @@ void BatchedNetwork::CompleteAttempt(std::uint64_t mask, Message msg,
 std::size_t BatchedNetwork::CountInterferers(std::uint32_t lane, NodeId sender,
                                              SimTime started) const {
   // Transmissions overlapping [started, now] whose sender lies within the
-  // precomputed interference set (twice the radio range) of `sender`: a
-  // bitset membership test over this lane's senders with active flights.
-  // The `end > started` filter preserves the exact legacy overlap semantics.
+  // precomputed interference set (twice the radio range) of `sender`.  The
+  // `end > started` filter preserves the exact legacy overlap semantics.
+  // The count is the same over either side of the intersection, so walk
+  // the shorter one: the interference set (senders without flights add
+  // nothing) or the lane's active senders (filtered by the bitset).
   std::size_t count = 0;
-  for (const NodeId other : active_senders_[lane]) {
-    if (other == sender || !topology_->InInterferenceRange(sender, other)) {
-      continue;
-    }
+  const auto add_overlaps = [&](NodeId other) {
     for (const SimTime end : flight_ends_[Idx(other, lane)]) {
       count += end > started ? 1 : 0;
+    }
+  };
+  const std::span<const NodeId> interferers = topology_->InterferersOf(sender);
+  const std::vector<NodeId>& active = active_senders_[lane];
+  if (interferers.size() < active.size()) {
+    for (const NodeId other : interferers) add_overlaps(other);
+  } else {
+    for (const NodeId other : active) {
+      if (other != sender && topology_->InInterferenceRange(sender, other)) {
+        add_overlaps(other);
+      }
     }
   }
   return count;

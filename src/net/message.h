@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <memory>
 #include <string_view>
+#include <type_traits>
+#include <typeinfo>
 #include <vector>
 
 #include "util/ids.h"
@@ -37,6 +39,17 @@ class Payload {
  public:
   virtual ~Payload() = default;
 };
+
+/// `dynamic_cast<const T*>(payload)` for a final payload type, as one
+/// type_info comparison instead of a hierarchy walk: receive handlers try
+/// several payload types on every delivered frame.
+template <typename T>
+const T* PayloadAs(const Payload* payload) {
+  static_assert(std::is_final_v<T>, "PayloadAs needs a final payload type");
+  return payload != nullptr && typeid(*payload) == typeid(T)
+             ? static_cast<const T*>(payload)
+             : nullptr;
+}
 
 /// How a transmission addresses its receivers.
 enum class AddressMode : std::uint8_t {

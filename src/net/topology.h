@@ -7,11 +7,13 @@
 // computed by BFS.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "util/check.h"
 #include "util/geometry.h"
 #include "util/ids.h"
 
@@ -56,6 +58,18 @@ class Topology {
 
   /// True iff `a` and `b` are within radio range (and distinct).
   bool AreNeighbors(NodeId a, NodeId b) const;
+
+  /// Position of `neighbor` in `NeighborsOf(node)`: a dense index for
+  /// per-neighbor state.  `neighbor` must be a neighbor of `node`.  Inline:
+  /// the engines call it for every received frame.
+  std::size_t NeighborIndex(NodeId node, NodeId neighbor) const {
+    CheckArg(node < neighbors_.size(), "Topology: node id out of range");
+    const std::vector<NodeId>& list = neighbors_[node];
+    const auto it = std::lower_bound(list.begin(), list.end(), neighbor);
+    Check(it != list.end() && *it == neighbor,
+          "Topology::NeighborIndex: not a radio neighbor");
+    return static_cast<std::size_t>(it - list.begin());
+  }
 
   /// Nodes within `kInterferenceRangeFactor * range_feet` of `node`
   /// (excluding the node itself), ascending.  Precomputed once and stored

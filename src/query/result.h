@@ -38,8 +38,12 @@ struct EpochResult {
   /// accounted for in this epoch — delivered data or affirmed "no data"
   /// through gap repair.  -1 when the run does not track coverage.
   double coverage = -1.0;
-  /// Number of nodes whose data actually reached this answer (-1 when the
-  /// run does not track coverage).
+  /// Number of nodes heard for this epoch by the network query that
+  /// carried the answer: its delivered rows (acquisition) or its partial
+  /// aggregate's count (aggregation).  Under tier 1, `ResultMapper` copies
+  /// the synthetic query's count to every member, so this is not the number
+  /// of nodes with rows in this answer: a member with a narrower predicate
+  /// may hold fewer rows.  -1 when the run does not track coverage.
   int contributing_nodes = -1;
 
   /// Human-readable rendering.

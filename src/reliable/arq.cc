@@ -6,8 +6,11 @@
 
 namespace ttmqo {
 
-SimDuration ArqRto(const ArqOptions& options, int backoff_exponent,
-                   Rng& rng) {
+namespace {
+
+template <typename Stream>
+SimDuration RtoFrom(const ArqOptions& options, int backoff_exponent,
+                    Stream& rng) {
   CheckArg(backoff_exponent >= 0, "ArqRto: negative backoff exponent");
   SimDuration rto = options.base_rto_ms;
   for (int i = 0; i < backoff_exponent && rto < options.max_rto_ms; ++i) {
@@ -20,9 +23,68 @@ SimDuration ArqRto(const ArqOptions& options, int backoff_exponent,
   return rto;
 }
 
+std::uint64_t JitterSalt(NodeId sender, std::uint32_t seq) {
+  return (static_cast<std::uint64_t>(sender) << 32) |
+         static_cast<std::uint64_t>(seq);
+}
+
+}  // namespace
+
+SimDuration ArqRto(const ArqOptions& options, int backoff_exponent,
+                   Rng& rng) {
+  return RtoFrom(options, backoff_exponent, rng);
+}
+
+SimDuration ArqRto(const ArqOptions& options, int backoff_exponent,
+                   RngPrefixStream& rng) {
+  return RtoFrom(options, backoff_exponent, rng);
+}
+
 Rng ArqJitterRng(std::uint64_t seed, NodeId sender, std::uint32_t seq) {
-  return Rng(seed).Fork((static_cast<std::uint64_t>(sender) << 32) |
-                        static_cast<std::uint64_t>(seq));
+  return Rng(seed).Fork(JitterSalt(sender, seq));
+}
+
+RngPrefixStream ArqJitterStream(std::uint64_t seed, NodeId sender,
+                                std::uint32_t seq) {
+  return RngPrefixStream(Rng::ForkSeed(seed, JitterSalt(sender, seq)));
+}
+
+bool ArqSeenWindow::Admit(std::uint32_t seq) {
+  const std::uint64_t size = std::uint64_t{window_} + 1;
+  if (ring_.empty()) ring_.assign((size + 63) / 64, 0);
+  if (seq > max_seen_) {
+    // A new newest seq is never a duplicate.  Slide first: the slots of
+    // (max_seen, seq] still hold seqs that just fell out of the window.
+    Clear((std::uint64_t{max_seen_} + 1) % size,
+          std::min<std::uint64_t>(seq - max_seen_, size));
+    max_seen_ = seq;
+  } else if (max_seen_ > window_ && seq < max_seen_ - window_) {
+    return false;  // too old to tell: assume a duplicate
+  }
+  const std::uint64_t slot = seq % size;
+  std::uint64_t& word = ring_[slot / 64];
+  const std::uint64_t bit = std::uint64_t{1} << (slot % 64);
+  if ((word & bit) != 0) return false;
+  word |= bit;
+  return true;
+}
+
+void ArqSeenWindow::Clear(std::uint64_t from, std::uint64_t count) {
+  const std::uint64_t size = std::uint64_t{window_} + 1;
+  while (count > 0) {
+    const std::uint64_t run = std::min(count, size - from);
+    // Word-wise clear of [from, from + run).
+    for (std::uint64_t lo = from, hi = from + run; lo < hi;) {
+      const std::uint64_t offset = lo % 64;
+      const std::uint64_t n = std::min<std::uint64_t>(64 - offset, hi - lo);
+      const std::uint64_t mask =
+          n == 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << n) - 1) << offset;
+      ring_[lo / 64] &= ~mask;
+      lo += n;
+    }
+    count -= run;
+    from = 0;
+  }
 }
 
 ArqTransport::ArqTransport(Network& network, ArqOptions options)
@@ -36,6 +98,8 @@ ArqTransport::ArqTransport(Network& network, ArqOptions options)
   CheckArg(options_.base_rto_ms > 0 && options_.max_rto_ms >= options_.base_rto_ms,
            "ArqTransport: bad RTO bounds");
   CheckArg(options_.max_attempts >= 1, "ArqTransport: need >= 1 attempt");
+  CheckArg(options_.dedup_window <= kArqMaxDedupWindow,
+           "ArqTransport: dedup window too large");
 }
 
 void ArqTransport::Attach(NodeId node, Network::Receiver upper) {
@@ -58,13 +122,13 @@ void ArqTransport::Send(Message msg, SimTime deadline, int reroutes) {
   slot.deadline = deadline;
   slot.attempt = 1;
   slot.reroutes = reroutes;
-  slot.rng = ArqJitterRng(options_.seed, sender, seq);
+  slot.rng = ArqJitterStream(options_.seed, sender, seq);
   slot.unacked = msg.destinations;
   slot.msg = std::move(msg);
   slot.msg.payload = std::make_shared<ArqDataPayload>(
       seq, std::move(slot.msg.payload));
   slot.msg.payload_bytes += kArqHeaderBytes;
-  live_[sender].emplace(seq, index);
+  live_[sender].emplace_back(seq, index);
   ++sends_;
 
   // Give-up re-routes and repair traffic fire from timers, when the
@@ -130,56 +194,53 @@ void ArqTransport::OnTimeout(std::uint32_t index, std::uint32_t generation) {
 
 void ArqTransport::OnReceive(NodeId self, const Message& msg,
                              bool addressed) {
-  if (const auto* data =
-          dynamic_cast<const ArqDataPayload*>(msg.payload.get())) {
-    // Reconstruct the application-level message so the engine sees exactly
-    // what it would without the transport (overhearing included).
-    Message inner;
+  if (const auto* data = PayloadAs<ArqDataPayload>(msg.payload.get())) {
+    if (addressed) {
+      // Ack every addressed copy — re-acking duplicates is what resolves
+      // the ack-was-lost ambiguity on the sender side.
+      SendAck(self, msg.sender, data->seq);
+      auto& windows = seen_[self];
+      if (windows.empty()) {
+        windows.assign(network_.topology().NeighborsOf(self).size(),
+                       ArqSeenWindow(options_.dedup_window));
+      }
+      if (!windows[network_.topology().NeighborIndex(self, msg.sender)]
+               .Admit(data->seq)) {
+        ++duplicates_dropped_;
+        return;
+      }
+    }
+    if (!upper_[self]) return;
+    // Hand up the application-level message so the engine sees exactly
+    // what it would without the transport (overhearing included).  The
+    // scratch is moved out while the handler runs, so a nested receive
+    // would build its own instead of overwriting this one.
+    Message inner = std::move(inner_);
     inner.cls = msg.cls;
     inner.mode = msg.mode;
     inner.sender = msg.sender;
-    inner.destinations = msg.destinations;
+    inner.destinations.assign(msg.destinations.begin(),
+                              msg.destinations.end());
     inner.payload_bytes = msg.payload_bytes - kArqHeaderBytes;
     inner.payload = data->inner;
-    if (!addressed) {
-      if (upper_[self]) upper_[self](inner, false);
-      return;
-    }
-    // Ack every addressed copy — re-acking duplicates is what resolves the
-    // ack-was-lost ambiguity on the sender side.
-    SendAck(self, msg.sender, data->seq);
-    SeenWindow& window = seen_[self][msg.sender];
-    const bool below_window =
-        window.max_seen > options_.dedup_window &&
-        data->seq < window.max_seen - options_.dedup_window;
-    if (below_window || !window.seqs.insert(data->seq).second) {
-      ++duplicates_dropped_;
-      return;
-    }
-    if (data->seq > window.max_seen) {
-      window.max_seen = data->seq;
-      // Slide the window: sequence numbers too old to be live duplicates
-      // are forgotten, bounding the table for long-lived runs.
-      if (window.max_seen > options_.dedup_window) {
-        const std::uint32_t floor = window.max_seen - options_.dedup_window;
-        window.seqs.erase(window.seqs.begin(),
-                          window.seqs.lower_bound(floor));
-      }
-    }
-    if (upper_[self]) upper_[self](inner, true);
+    upper_[self](inner, addressed);
+    inner.payload.reset();
+    inner_ = std::move(inner);
     return;
   }
 
-  if (const auto* ack =
-          dynamic_cast<const ArqAckPayload*>(msg.payload.get())) {
+  if (const auto* ack = PayloadAs<ArqAckPayload>(msg.payload.get())) {
     if (addressed) {
-      auto& live = live_[self];
-      const auto it = live.find(ack->seq);
+      const auto& live = live_[self];
+      const auto it = std::find_if(
+          live.begin(), live.end(),
+          [&](const auto& entry) { return entry.first == ack->seq; });
       if (it != live.end()) {
-        PendingSlot& slot = slots_[it->second];
+        const std::uint32_t index = it->second;
+        PendingSlot& slot = slots_[index];
         std::erase(slot.unacked, msg.sender);
         ClearStrikes(self, msg.sender);
-        if (slot.unacked.empty()) ReleaseSlot(it->second);
+        if (slot.unacked.empty()) ReleaseSlot(index);
       }
     }
     // Fall through to the engine: an overheard ack is still proof of life
@@ -220,12 +281,22 @@ void ArqTransport::SendAck(NodeId self, NodeId to, std::uint32_t seq) {
 
 bool ArqTransport::IsQuarantined(NodeId self, NodeId neighbor) const {
   const auto& per_node = quarantine_[self];
-  const auto it = per_node.find(neighbor);
-  return it != per_node.end() && network_.sim().Now() < it->second.until;
+  if (per_node.empty()) return false;  // never struck anyone
+  return network_.sim().Now() <
+         per_node[network_.topology().NeighborIndex(self, neighbor)].until;
+}
+
+ArqTransport::Quarantine& ArqTransport::QuarantineOf(NodeId self,
+                                                     NodeId neighbor) {
+  auto& per_node = quarantine_[self];
+  if (per_node.empty()) {
+    per_node.resize(network_.topology().NeighborsOf(self).size());
+  }
+  return per_node[network_.topology().NeighborIndex(self, neighbor)];
 }
 
 void ArqTransport::Strike(NodeId self, NodeId neighbor) {
-  Quarantine& q = quarantine_[self][neighbor];
+  Quarantine& q = QuarantineOf(self, neighbor);
   if (++q.strikes < options_.quarantine_threshold) return;
   q.strikes = 0;
   q.backoff = q.backoff == 0
@@ -237,15 +308,13 @@ void ArqTransport::Strike(NodeId self, NodeId neighbor) {
 }
 
 void ArqTransport::ClearStrikes(NodeId self, NodeId neighbor) {
-  const auto it = quarantine_[self].find(neighbor);
-  if (it == quarantine_[self].end()) return;
-  Quarantine& q = it->second;
+  if (quarantine_[self].empty()) return;  // never struck anyone
+  Quarantine& q = QuarantineOf(self, neighbor);
   q.strikes = 0;
   q.until = 0;
   // Hysteresis: one good ack halves the backoff instead of erasing it, so
   // a flapping neighbor earns trust back gradually.
   q.backoff /= 2;
-  if (q.backoff == 0) quarantine_[self].erase(it);
 }
 
 std::uint32_t ArqTransport::AcquireSlot() {
@@ -262,7 +331,12 @@ std::uint32_t ArqTransport::AcquireSlot() {
 
 void ArqTransport::ReleaseSlot(std::uint32_t index) {
   PendingSlot& slot = slots_[index];
-  live_[slot.msg.sender].erase(slot.seq);
+  auto& live = live_[slot.msg.sender];
+  const auto it = std::find_if(live.begin(), live.end(), [&](const auto& e) {
+    return e.first == slot.seq;
+  });
+  *it = live.back();
+  live.pop_back();
   slot.in_use = false;
   ++slot.generation;
   slot.msg = Message{};

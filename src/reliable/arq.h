@@ -23,15 +23,18 @@
 // payload through the give-up hook.
 //
 // Steady state schedules no allocating events: retry timers are small
-// inline captures in the PR-5 pooled slab, pending slots and ack payloads
-// are recycled through free lists.
+// inline captures in the pooled event slab, pending slots and ack payloads
+// are recycled through free lists.  Per-frame bookkeeping touches no map or
+// set: a pending slot carries its jitter stream as 16 bytes
+// (`RngPrefixStream`), dedup windows and quarantine state are dense per
+// neighbor (indexed by `Topology::NeighborIndex`), and received frames are
+// unwrapped into a reused scratch message.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
-#include <set>
+#include <utility>
 #include <vector>
 
 #include "net/network.h"
@@ -45,6 +48,9 @@ inline constexpr std::size_t kArqHeaderBytes = 2;
 
 /// Serialized size of an ack (sequence number + sender id).
 inline constexpr std::size_t kArqAckBytes = 3;
+
+/// Largest accepted `ArqOptions::dedup_window` (a 128 KB ring per pair).
+inline constexpr std::uint32_t kArqMaxDedupWindow = 1u << 20;
 
 /// Tuning of the ARQ transport.  `enabled` false means the transport is
 /// never constructed and the engine talks to the network directly — the
@@ -71,7 +77,8 @@ struct ArqOptions {
   SimDuration quarantine_max_ms = 32768;
   /// Receiver-side duplicate-detection window per (receiver, sender):
   /// sequence numbers more than this far behind the newest seen are
-  /// forgotten (bounded memory for long-lived runs).
+  /// treated as duplicates (bounded memory for long-lived runs).  At most
+  /// `kArqMaxDedupWindow`.
   std::uint32_t dedup_window = 1024;
 };
 
@@ -93,10 +100,42 @@ struct ArqAckPayload final : Payload {
 /// min(base * 2^exponent, max) + jitter drawn from `rng`.  Exposed for the
 /// backoff-arithmetic unit tests.
 SimDuration ArqRto(const ArqOptions& options, int backoff_exponent, Rng& rng);
+/// The same RTO with the jitter drawn from a prefix stream (what the
+/// transport uses).
+SimDuration ArqRto(const ArqOptions& options, int backoff_exponent,
+                   RngPrefixStream& rng);
 
 /// The jitter stream of one (sender, seq) pair under `seed` — every retry
-/// schedule is a pure function of these three values.
+/// schedule is a pure function of these three values.  The reference
+/// engine; the transport draws the identical values from
+/// `ArqJitterStream`.
 Rng ArqJitterRng(std::uint64_t seed, NodeId sender, std::uint32_t seq);
+
+/// `ArqJitterRng` as a 16-byte prefix stream: same outputs, no engine.
+RngPrefixStream ArqJitterStream(std::uint64_t seed, NodeId sender,
+                                std::uint32_t seq);
+
+/// Receiver-side duplicate detection for one (receiver, sender) pair: a
+/// ring bitset over the newest `window + 1` sequence numbers.  A seq above
+/// the newest seen is always fresh; one more than `window` behind it is a
+/// duplicate (too old to tell).  Exposed for the unit tests.
+class ArqSeenWindow {
+ public:
+  /// `window` is `ArqOptions::dedup_window`.  The ring is allocated on the
+  /// first `Admit`.
+  explicit ArqSeenWindow(std::uint32_t window) : window_(window) {}
+
+  /// Records `seq`; true when it was not seen before.
+  bool Admit(std::uint32_t seq);
+
+ private:
+  /// Clears ring slots [from, from + count), wrapping at the ring size.
+  void Clear(std::uint64_t from, std::uint64_t count);
+
+  std::vector<std::uint64_t> ring_;
+  std::uint32_t window_;
+  std::uint32_t max_seen_ = 0;
+};
 
 class ArqTransport {
  public:
@@ -164,19 +203,13 @@ class ArqTransport {
     int reroutes = 0;
     /// Bumped on release so stale timeout events no-op.
     std::uint32_t generation = 0;
-    Rng rng{0};
+    RngPrefixStream rng{0};
     bool in_use = false;
-  };
-
-  /// Receiver-side duplicate detection for one (receiver, sender) pair.
-  struct SeenWindow {
-    std::set<std::uint32_t> seqs;
-    std::uint32_t max_seen = 0;
   };
 
   /// Give-up strikes and quarantine state of one neighbor.  `backoff`
   /// persists across recoveries — the hysteresis that makes repeated
-  /// flapping progressively more expensive.
+  /// flapping progressively more expensive.  All-zero is "never struck".
   struct Quarantine {
     int strikes = 0;
     SimDuration backoff = 0;
@@ -191,19 +224,26 @@ class ArqTransport {
   void SendAck(NodeId self, NodeId to, std::uint32_t seq);
   void Strike(NodeId self, NodeId neighbor);
   void ClearStrikes(NodeId self, NodeId neighbor);
+  /// `self`'s quarantine state of `neighbor` (grown on demand).
+  Quarantine& QuarantineOf(NodeId self, NodeId neighbor);
 
   Network& network_;
   ArqOptions options_;
   std::vector<Network::Receiver> upper_;
   std::vector<std::uint32_t> next_seq_;
-  /// Per sender: live seq -> pending slot index.
-  std::vector<std::map<std::uint32_t, std::uint32_t>> live_;
+  /// Per sender: (live seq, pending slot index), unordered — a sender has
+  /// only a handful of sends in flight.
+  std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>> live_;
   std::vector<PendingSlot> slots_;
   std::vector<std::uint32_t> free_slots_;
-  /// Per receiver: dedup window per sender.
-  std::vector<std::map<NodeId, SeenWindow>> seen_;
-  /// Per node: quarantine state per neighbor.
-  std::vector<std::map<NodeId, Quarantine>> quarantine_;
+  /// Per receiver, per neighbor index: the dedup window of that sender
+  /// (grown on demand).
+  std::vector<std::vector<ArqSeenWindow>> seen_;
+  /// Per node, per neighbor index: quarantine state (grown on demand).
+  std::vector<std::vector<Quarantine>> quarantine_;
+  /// The application message of the frame being received, reused so that
+  /// unwrapping allocates nothing.
+  Message inner_;
   /// Recycled ack payloads (reused when the network released its copy).
   std::vector<std::shared_ptr<ArqAckPayload>> ack_pool_;
   GiveUpHook give_up_;

@@ -107,7 +107,7 @@ void TinyDbEngine::HandleMessage(NodeId self, const Message& msg,
   if (!addressed) return;  // the baseline never exploits overhearing
 
   if (const auto* prop =
-          dynamic_cast<const QueryPropagationPayload*>(msg.payload.get())) {
+          PayloadAs<QueryPropagationPayload>(msg.payload.get())) {
     NodeState& state = nodes_[self];
     if (state.seen_propagation.contains(prop->query.id())) return;
     state.seen_propagation.insert(prop->query.id());
@@ -130,8 +130,7 @@ void TinyDbEngine::HandleMessage(NodeId self, const Message& msg,
     return;
   }
 
-  if (const auto* abort =
-          dynamic_cast<const QueryAbortPayload*>(msg.payload.get())) {
+  if (const auto* abort = PayloadAs<QueryAbortPayload>(msg.payload.get())) {
     NodeState& state = nodes_[self];
     if (state.seen_abort.contains(abort->query)) return;
     state.seen_abort.insert(abort->query);
@@ -157,12 +156,12 @@ void TinyDbEngine::HandleMessage(NodeId self, const Message& msg,
     return;
   }
 
-  if (const auto* row = dynamic_cast<const RowPayload*>(msg.payload.get())) {
+  if (const auto* row = PayloadAs<RowPayload>(msg.payload.get())) {
     ForwardRow(self, *row);
     return;
   }
 
-  if (const auto* agg = dynamic_cast<const AggPayload*>(msg.payload.get())) {
+  if (const auto* agg = PayloadAs<AggPayload>(msg.payload.get())) {
     NodeState& state = nodes_[self];
     const auto key = std::make_pair(agg->query, agg->epoch_time);
     if (state.agg_slot_done.contains(key) || !state.active.contains(agg->query)) {
@@ -336,13 +335,13 @@ void TinyDbEngine::ForwardPartials(NodeId self, QueryId id,
 // ---------------------------------------------------------------------
 
 void TinyDbEngine::BsAccept(const Message& msg) {
-  if (const auto* row = dynamic_cast<const RowPayload*>(msg.payload.get())) {
+  if (const auto* row = PayloadAs<RowPayload>(msg.payload.get())) {
     auto it = bs_queries_.find(row->query);
     if (it == bs_queries_.end() || it->second.terminated) return;
     it->second.rows[row->epoch_time].try_emplace(row->row.node(), row->row);
     return;
   }
-  if (const auto* agg = dynamic_cast<const AggPayload*>(msg.payload.get())) {
+  if (const auto* agg = PayloadAs<AggPayload>(msg.payload.get())) {
     auto it = bs_queries_.find(agg->query);
     if (it == bs_queries_.end() || it->second.terminated) return;
     auto& buffer = it->second.partials[agg->epoch_time];

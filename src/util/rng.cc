@@ -17,8 +17,10 @@ std::uint64_t Mix(std::uint64_t x) {
 
 Rng::Rng(std::uint64_t seed) : seed_(seed), engine_(Mix(seed)) {}
 
-Rng Rng::Fork(std::uint64_t salt) const {
-  return Rng(Mix(seed_ ^ Mix(salt)));
+Rng Rng::Fork(std::uint64_t salt) const { return Rng(ForkSeed(seed_, salt)); }
+
+std::uint64_t Rng::ForkSeed(std::uint64_t seed, std::uint64_t salt) {
+  return Mix(seed ^ Mix(salt));
 }
 
 double Rng::Uniform(double lo, double hi) {
@@ -54,6 +56,53 @@ std::size_t Rng::Index(std::size_t n) {
   CheckArg(n > 0, "Rng::Index: n must be positive");
   std::uniform_int_distribution<std::size_t> dist(0, n - 1);
   return dist(engine_);
+}
+
+static_assert(RngPrefixStream::kPrefix == std::mt19937_64::state_size -
+                                            std::mt19937_64::shift_size);
+
+RngPrefixStream::RngPrefixStream(std::uint64_t seed)
+    : engine_seed_(Mix(seed)) {}
+
+RngPrefixStream::result_type RngPrefixStream::operator()() {
+  using Engine = std::mt19937_64;
+  const std::uint64_t k = draws_++;
+  if (k >= kPrefix) {
+    Engine engine(engine_seed_);
+    engine.discard(k);
+    return engine();
+  }
+  // Seeding recurrence of std::mt19937_64: x[0] = seed,
+  // x[i] = f * (x[i-1] ^ (x[i-1] >> (w-2))) + i.
+  const auto next = [](std::uint64_t x, std::uint64_t i) {
+    return Engine::initialization_multiplier *
+               (x ^ (x >> (Engine::word_size - 2))) +
+           i;
+  };
+  std::uint64_t x = engine_seed_;
+  for (std::uint64_t i = 1; i <= k; ++i) x = next(x, i);
+  const std::uint64_t xk = x;
+  x = next(x, k + 1);
+  const std::uint64_t xk1 = x;
+  for (std::uint64_t i = k + 2; i <= k + Engine::shift_size; ++i) {
+    x = next(x, i);
+  }
+  // First twist of word k, then tempering.
+  constexpr std::uint64_t kUpper = ~std::uint64_t{0} << Engine::mask_bits;
+  const std::uint64_t y = (xk & kUpper) | (xk1 & ~kUpper);
+  std::uint64_t z =
+      x ^ (y >> 1) ^ ((y & 1) != 0 ? Engine::xor_mask : std::uint64_t{0});
+  z ^= (z >> Engine::tempering_u) & Engine::tempering_d;
+  z ^= (z << Engine::tempering_s) & Engine::tempering_b;
+  z ^= (z << Engine::tempering_t) & Engine::tempering_c;
+  z ^= z >> Engine::tempering_l;
+  return z;
+}
+
+std::int64_t RngPrefixStream::UniformInt(std::int64_t lo, std::int64_t hi) {
+  CheckArg(lo <= hi, "RngPrefixStream::UniformInt: lo must be <= hi");
+  std::uniform_int_distribution<std::int64_t> dist(lo, hi);
+  return dist(*this);
 }
 
 }  // namespace ttmqo

@@ -21,6 +21,10 @@ class Rng {
   /// Derives an independent sub-stream; deterministic in (parent seed, salt).
   Rng Fork(std::uint64_t salt) const;
 
+  /// The seed of `Rng(seed).Fork(salt)`, computed without building either
+  /// engine.
+  static std::uint64_t ForkSeed(std::uint64_t seed, std::uint64_t salt);
+
   /// Uniform double in [lo, hi).
   double Uniform(double lo, double hi);
 
@@ -45,6 +49,35 @@ class Rng {
  private:
   std::uint64_t seed_;
   std::mt19937_64 engine_;
+};
+
+/// The first draws of `Rng(seed)` from 16 bytes of state instead of a
+/// 2.5 KB engine, for consumers that need many short streams (one per ARQ
+/// send).  A UniformRandomBitGenerator whose outputs equal those of the
+/// `std::mt19937_64` inside `Rng(seed)`, so the standard distributions give
+/// the same values too.  Output k < kPrefix depends only on seeded state
+/// words k, k+1 and k+156 (the first twist never reads a word it already
+/// rewrote for those k), so it costs about 157 + k seeding steps and no
+/// twist.  Later outputs fall back to a real engine.
+class RngPrefixStream {
+ public:
+  using result_type = std::uint64_t;
+  /// Outputs served without building an engine.
+  static constexpr std::uint64_t kPrefix = 156;
+
+  /// The stream of `Rng(seed)`.
+  explicit RngPrefixStream(std::uint64_t seed);
+
+  static constexpr result_type min() { return std::mt19937_64::min(); }
+  static constexpr result_type max() { return std::mt19937_64::max(); }
+  result_type operator()();
+
+  /// Same value as `Rng::UniformInt` at the same stream position.
+  std::int64_t UniformInt(std::int64_t lo, std::int64_t hi);
+
+ private:
+  std::uint64_t engine_seed_;
+  std::uint64_t draws_ = 0;
 };
 
 }  // namespace ttmqo

@@ -1,4 +1,4 @@
-// Golden-run regression suite: three pinned scenarios whose canonical
+// Golden-run regression suite: pinned scenarios whose canonical
 // fingerprints (see sweep/fingerprint.h) are stored under tests/golden/.
 // Any change to simulated behavior — row counts, message totals,
 // transmission time, delivery completeness — fails here with a diffable
@@ -21,6 +21,7 @@
 
 #include "core/innet/innet_engine.h"
 #include "fault/fault_plan.h"
+#include "metrics/registry.h"
 #include "metrics/run_summary.h"
 #include "query/parser.h"
 #include "sensing/field_model.h"
@@ -152,6 +153,42 @@ TEST(GoldenRegressionTest, DenseContentionRun) {
   // silently pin a clean-channel run.
   EXPECT_GT(run.summary.retransmissions, 0u);
   CheckGolden("dense_contention_5x5.txt", FingerprintRun(run));
+}
+
+// Scenario 5: the arq reliability profile under 10% loss on every link,
+// one crash and one transient outage.  Pins the ARQ transport's retry
+// jitter, duplicate suppression, NACK repair and liveness bookkeeping: the
+// fingerprint is followed by every ARQ counter, so a change to any of those
+// paths that was meant to be behavior-preserving must leave it unchanged.
+TEST(GoldenRegressionTest, ArqLossySixBySix) {
+  RunConfig config;
+  config.grid_side = 6;
+  config.mode = OptimizationMode::kTwoTier;
+  config.field = FieldKind::kCorrelated;
+  config.reliability = ReliabilityProfile::kArq;
+  config.duration_ms = 8 * 12288;
+  config.seed = 23;
+  config.faults.SetDefaultLinkLoss(0.1);
+  config.faults.AddCrash(/*node=*/14, /*at=*/3 * 12288 + 6144);
+  config.faults.AddOutage(/*node=*/22, /*from=*/2 * 12288,
+                          /*until=*/5 * 12288);
+  MetricsRegistry registry;
+  config.obs.registry = &registry;
+  const RunResult run = RunExperiment(config, StaticSchedule(WorkloadC()));
+
+  std::ostringstream arq;
+  for (const char* name :
+       {"arq_sends_total", "arq_retransmits_total", "arq_acks_sent_total",
+        "arq_duplicates_dropped_total", "arq_give_ups_total",
+        "arq_quarantines_total", "arq_repair_requests_total",
+        "arq_repair_replies_total", "arq_late_drops_total"}) {
+    arq << name << "=" << registry.GetCounter(name).Value() << "\n";
+  }
+  // The scenario must exercise retries and duplicate suppression, or the
+  // golden would pin a run the ARQ hot paths never touched.
+  EXPECT_GT(registry.GetCounter("arq_retransmits_total").Value(), 0.0);
+  EXPECT_GT(registry.GetCounter("arq_duplicates_dropped_total").Value(), 0.0);
+  CheckGolden("arq_lossy_6x6.txt", FingerprintRun(run) + arq.str());
 }
 
 }  // namespace

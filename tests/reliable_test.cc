@@ -1,10 +1,15 @@
 // Unit tests for the ARQ transport (reliable/arq.h): backoff arithmetic,
-// per-(sender, seq) jitter streams, ack/retransmit bookkeeping over a
-// lossless grid, deadline budgets, and the quarantine hysteresis that
-// makes flapping neighbors progressively more expensive to re-trust.
+// per-(sender, seq) jitter streams and their engine-free prefix form, the
+// ring dedup window, ack/retransmit bookkeeping over a lossless grid,
+// deadline budgets, and the quarantine hysteresis that makes flapping
+// neighbors progressively more expensive to re-trust.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <random>
+#include <set>
+#include <tuple>
 #include <vector>
 
 #include "net/network.h"
@@ -74,6 +79,176 @@ TEST(ArqJitterRngTest, StreamsAreIndependentPerSenderAndSeq) {
   EXPECT_EQ(draws(3, 1), draws(3, 1));
   EXPECT_NE(draws(3, 1), draws(3, 2));
   EXPECT_NE(draws(3, 1), draws(4, 1));
+}
+
+// ---------------------------------------------------------------------------
+// The engine-free jitter stream.
+
+// SplitMix64, the seed mix `Rng` applies before seeding its engine.
+std::uint64_t SplitMix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+TEST(RngPrefixStreamTest, MatchesMersenneTwisterOnThePrefixAndPastIt) {
+  for (std::uint64_t i = 0; i < 1000; ++i) {
+    const std::uint64_t seed = i * 0x9e3779b97f4a7c15ULL + 17;
+    std::mt19937_64 engine(SplitMix64(seed));
+    RngPrefixStream stream(seed);
+    for (std::uint64_t k = 0; k < RngPrefixStream::kPrefix; ++k) {
+      ASSERT_EQ(stream(), engine()) << "seed " << seed << " output " << k;
+    }
+    // Past the prefix the stream falls back to a real engine.
+    if (i % 50 == 0) {
+      for (int k = 0; k < 8; ++k) ASSERT_EQ(stream(), engine());
+    }
+  }
+  // The distribution sees the same bits, so bounded draws agree with
+  // `Rng` too, well past the prefix.
+  Rng rng(77);
+  RngPrefixStream stream(77);
+  for (int k = 0; k < 400; ++k) {
+    ASSERT_EQ(stream.UniformInt(0, 32), rng.UniformInt(0, 32)) << k;
+  }
+}
+
+// A network observer that records the start time of every ARQ data frame.
+struct DataFrameLog final : NetworkObserver {
+  void OnTransmit(SimTime time, const Message& msg, double,
+                  bool) override {
+    if (const auto* data =
+            dynamic_cast<const ArqDataPayload*>(msg.payload.get())) {
+      frames.emplace_back(msg.sender, data->seq, time);
+    }
+  }
+  std::vector<std::tuple<NodeId, std::uint32_t, SimTime>> frames;
+};
+
+TEST(ArqJitterStreamTest, TransportRtosEqualTheReferenceEngine) {
+  // Every send goes to a dead neighbor, so it is transmitted max_attempts
+  // times: retransmission j starts RTO(j-1) after the previous one, and the
+  // RTOs must be ArqRto over ArqJitterRng for the same (seed, sender, seq).
+  const Topology topology = Topology::Grid(3);
+  for (const std::uint64_t seed : {1ULL, 99ULL, 0xdeadbeefULL}) {
+    Network network(topology, RadioParams{}, ChannelParams{}, 5);
+    ArqOptions options = TestOptions();
+    options.seed = seed;
+    ArqTransport arq(network, options);
+    for (NodeId n = 0; n < topology.size(); ++n) {
+      arq.Attach(n, [](const Message&, bool) {});
+    }
+    DataFrameLog log;
+    network.observers().Add(&log);
+    network.SetDown(1);
+    SimTime at = 0;
+    for (int round = 0; round < 3; ++round) {
+      for (const NodeId sender : {NodeId{0}, NodeId{2}, NodeId{4}}) {
+        network.sim().ScheduleAt(at, [&arq, sender] {
+          Message msg;
+          msg.mode = AddressMode::kUnicast;
+          msg.sender = sender;
+          msg.destinations = {1};
+          msg.payload_bytes = 8;
+          msg.payload = std::make_shared<ProbePayload>(0);
+          arq.Send(std::move(msg), /*deadline=*/1'000'000);
+        });
+        at += 20'000;  // each budget is spent long before the next send
+      }
+    }
+    network.sim().RunUntil(at);
+
+    const auto attempts = static_cast<std::size_t>(options.max_attempts);
+    ASSERT_EQ(log.frames.size(), 9u * attempts);
+    for (std::size_t send = 0; send < 9; ++send) {
+      const auto [sender, seq, first] = log.frames[send * attempts];
+      Rng reference = ArqJitterRng(seed, sender, seq);
+      SimTime expected = first;
+      for (std::size_t attempt = 1; attempt < attempts; ++attempt) {
+        expected +=
+            ArqRto(options, static_cast<int>(attempt) - 1, reference);
+        const auto& frame = log.frames[send * attempts + attempt];
+        EXPECT_EQ(std::get<0>(frame), sender);
+        EXPECT_EQ(std::get<1>(frame), seq);
+        EXPECT_EQ(std::get<2>(frame), expected)
+            << "seed " << seed << " sender " << sender << " seq " << seq
+            << " attempt " << attempt;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The ring dedup window against the ordered-set model it replaced.
+
+struct SetWindowModel {
+  bool Admit(std::uint32_t seq) {
+    const bool below = max_seen > window && seq < max_seen - window;
+    if (below || !seqs.insert(seq).second) return false;
+    if (seq > max_seen) {
+      max_seen = seq;
+      if (max_seen > window) {
+        seqs.erase(seqs.begin(), seqs.lower_bound(max_seen - window));
+      }
+    }
+    return true;
+  }
+  std::uint32_t window = 0;
+  std::set<std::uint32_t> seqs;
+  std::uint32_t max_seen = 0;
+};
+
+TEST(ArqSeenWindowTest, NewMaximumOnAStaleSlotIsFresh) {
+  // Window 4 is a ring of 5 slots: seq 5 lands on seq 0's slot.
+  ArqSeenWindow window(4);
+  EXPECT_TRUE(window.Admit(0));
+  EXPECT_TRUE(window.Admit(5)) << "a new maximum is never a duplicate";
+  EXPECT_FALSE(window.Admit(5));
+  EXPECT_FALSE(window.Admit(0)) << "below the window counts as a duplicate";
+  EXPECT_TRUE(window.Admit(3)) << "slot of 3 was cleared when 5 arrived";
+}
+
+TEST(ArqSeenWindowTest, MatchesTheSetModelOnRandomSequences) {
+  for (const std::uint32_t w : {0u, 1u, 4u, 63u, 64u, 65u, 130u, 1024u}) {
+    ArqSeenWindow ring(w);
+    SetWindowModel model;
+    model.window = w;
+    std::mt19937 gen(1234 + w);
+    std::uint32_t max_seen = 0;
+    for (int step = 0; step < 20'000; ++step) {
+      const auto pick = [&](std::uint32_t n) {
+        return static_cast<std::uint32_t>(gen() % (n + 1));
+      };
+      const auto back = [&](std::uint32_t d) {
+        return max_seen > d ? max_seen - d : 0;
+      };
+      std::uint32_t seq = 0;
+      switch (gen() % 6) {
+        case 0:  // next few, new or just seen
+          seq = max_seen + pick(3);
+          break;
+        case 1:  // inside the window: reordered or duplicated
+          seq = back(pick(w));
+          break;
+        case 2:  // just below the window
+          seq = back(w + 1 + pick(4));
+          break;
+        case 3:  // a gap larger than the whole window
+          seq = max_seen + w + 1 + pick(2 * w + 3);
+          break;
+        case 4:  // around the window edge
+          seq = back(w) + pick(3);
+          break;
+        default:  // anywhere near
+          seq = back(2 * w + 2) + pick(4 * w + 6);
+          break;
+      }
+      ASSERT_EQ(ring.Admit(seq), model.Admit(seq))
+          << "window " << w << " step " << step << " seq " << seq;
+      max_seen = model.max_seen;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

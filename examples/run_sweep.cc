@@ -11,10 +11,6 @@
 //   --spec=<text|@file>  axes in the spec mini-language (see spec.h); @file
 //                        reads the text from a file
 //   --jobs=N             worker threads (0 = hardware concurrency; default)
-//   --batch-seeds=N      run up to N consecutive same-cell-different-seed
-//                        rows through one lockstep batched event loop
-//                        (execution detail like --jobs: reports are
-//                        byte-identical; default 1, max 64)
 //   --out=p.json         aggregated report as JSON
 //   --csv=p.csv          aggregated report as CSV
 //   --metrics-out=p.json shared MetricsRegistry across all runs, every
@@ -22,10 +18,11 @@
 //   --no-timing          omit wall-clock fields from --out/--csv, making
 //                        the report canonical (byte-identical across job
 //                        counts; what the determinism suite compares)
-//   --bench-out=p.json   run the spec twice — jobs=1 and jobs=N — verify
-//                        the two reports agree byte-for-byte, and write a
+//   --bench-out=p.json   run the spec at jobs=1, 2 and 4 (plus --jobs=N
+//                        when N is another count), verify every report
+//                        agrees byte-for-byte with jobs=1, and write a
 //                        BENCH_*.json perf artifact (wall clock, runs/sec,
-//                        events/sec, speedup)
+//                        events/sec, speedup per leg)
 //   --trace-chrome=p.json  profiling spans of the whole sweep as Chrome
 //                        trace-event JSON (one track per worker thread)
 //   --postmortem-dir=DIR arm the flight recorder; a task's invariant
@@ -35,6 +32,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <vector>
 
 #include "metrics/table.h"
 #include "obs/build_info.h"
@@ -103,47 +101,35 @@ void PrintSummary(const SweepReport& report) {
 }
 
 int WriteBenchArtifact(const SweepSpec& spec, unsigned jobs,
-                       std::size_t batch_seeds, const std::string& path) {
-  // At least 2 workers even on a single-core host, so the serial-vs-
-  // parallel byte comparison below always crosses real threads (no
-  // speedup is expected there, but the determinism check must be real).
-  const unsigned parallel_jobs =
-      jobs == 0 ? std::max(2u, HardwareJobs()) : jobs;
+                       const std::string& path) {
+  // Seeds scale with threads: one leg per job count, each checked against
+  // the serial leg byte-for-byte.  The 2- and 4-thread legs run even on a
+  // smaller host, so the determinism check always crosses real threads (no
+  // speedup is expected there, but the check must be real).
+  std::vector<unsigned> leg_jobs = {1, 2, 4};
+  const unsigned requested = jobs == 0 ? HardwareJobs() : jobs;
+  if (std::find(leg_jobs.begin(), leg_jobs.end(), requested) ==
+      leg_jobs.end()) {
+    leg_jobs.push_back(requested);
+  }
   obs::WarnIfSingleCore(std::cerr);
-  std::printf("bench: running %zu tasks at jobs=1...\n", spec.TaskCount());
-  const SweepReport serial = RunSweep(spec, 1);
-  std::printf("bench: running %zu tasks at jobs=%u...\n", spec.TaskCount(),
-              parallel_jobs);
-  const SweepReport parallel = RunSweep(spec, parallel_jobs);
-  std::printf("bench: running %zu tasks at jobs=1 batch-seeds=%zu...\n",
-              spec.TaskCount(), batch_seeds);
-  const SweepReport batched =
-      RunSweep(spec, 1, /*registry=*/nullptr, batch_seeds);
-
-  // The parallel path must reproduce the serial results exactly; a
-  // mismatch is a determinism bug and poisons every number below.
-  if (serial.Canonical() != parallel.Canonical()) {
-    std::fprintf(stderr,
-                 "bench: jobs=1 and jobs=%u reports differ — determinism "
-                 "violation\n",
-                 parallel_jobs);
-    return 1;
+  std::vector<SweepReport> legs;
+  for (const unsigned leg : leg_jobs) {
+    std::printf("bench: running %zu tasks at jobs=%u...\n", spec.TaskCount(),
+                leg);
+    legs.push_back(RunSweep(spec, leg));
+    // Every leg must reproduce the serial results exactly; a mismatch is a
+    // determinism bug and poisons every number below.
+    if (legs.back().Canonical() != legs.front().Canonical()) {
+      std::fprintf(stderr,
+                   "bench: jobs=1 and jobs=%u reports differ — determinism "
+                   "violation\n",
+                   leg);
+      return 1;
+    }
   }
-  // So must the lockstep batched path — that is its hard contract.
-  if (serial.Canonical() != batched.Canonical()) {
-    std::fprintf(stderr,
-                 "bench: batch-seeds=1 and batch-seeds=%zu reports differ — "
-                 "lockstep batching broke per-seed determinism\n",
-                 batch_seeds);
-    return 1;
-  }
+  const SweepReport& serial = legs.front();
 
-  const auto runs_per_sec = [](const SweepReport& r) {
-    return static_cast<double>(r.rows.size()) * 1000.0 / r.wall_ms;
-  };
-  const auto events_per_sec = [](const SweepReport& r) {
-    return static_cast<double>(r.TotalEvents()) * 1000.0 / r.wall_ms;
-  };
   std::ofstream out = OpenOutput(path);
   out << "{\n";
   out << "  \"bench\": \"sweep\",\n";
@@ -154,32 +140,25 @@ int WriteBenchArtifact(const SweepSpec& spec, unsigned jobs,
   obs::WriteBuildInfoJson(out);
   out << ",\n";
   out << "  \"events_executed\": " << serial.TotalEvents() << ",\n";
+  out << "  \"legs\": [\n";
   char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "  \"serial\": {\"jobs\": 1, \"wall_ms\": %.1f, "
-                "\"runs_per_sec\": %.4f, \"events_per_sec\": %.0f},\n",
-                serial.wall_ms, runs_per_sec(serial),
-                events_per_sec(serial));
-  out << buf;
-  std::snprintf(buf, sizeof(buf),
-                "  \"parallel\": {\"jobs\": %u, \"wall_ms\": %.1f, "
-                "\"runs_per_sec\": %.4f, \"events_per_sec\": %.0f},\n",
-                parallel.jobs, parallel.wall_ms, runs_per_sec(parallel),
-                events_per_sec(parallel));
-  out << buf;
-  std::snprintf(buf, sizeof(buf), "  \"speedup\": %.3f,\n",
-                serial.wall_ms / parallel.wall_ms);
-  out << buf;
-  std::snprintf(buf, sizeof(buf),
-                "  \"batched\": {\"jobs\": 1, \"batch_seeds\": %zu, "
-                "\"wall_ms\": %.1f, \"runs_per_sec\": %.4f, "
-                "\"events_per_sec\": %.0f},\n",
-                batch_seeds, batched.wall_ms, runs_per_sec(batched),
-                events_per_sec(batched));
-  out << buf;
-  std::snprintf(buf, sizeof(buf), "  \"batch_speedup\": %.3f,\n",
-                serial.wall_ms / batched.wall_ms);
-  out << buf;
+  for (std::size_t i = 0; i < legs.size(); ++i) {
+    const SweepReport& leg = legs[i];
+    std::snprintf(buf, sizeof(buf),
+                  "    {\"jobs\": %u, \"wall_ms\": %.1f, "
+                  "\"runs_per_sec\": %.4f, \"events_per_sec\": %.0f, "
+                  "\"speedup\": %.3f}%s\n",
+                  leg.jobs, leg.wall_ms,
+                  static_cast<double>(leg.rows.size()) * 1000.0 / leg.wall_ms,
+                  static_cast<double>(leg.TotalEvents()) * 1000.0 /
+                      leg.wall_ms,
+                  serial.wall_ms / leg.wall_ms,
+                  i + 1 < legs.size() ? "," : "");
+    out << buf;
+    std::printf("bench: jobs=%u %.1f ms (x%.2f)\n", leg.jobs, leg.wall_ms,
+                serial.wall_ms / leg.wall_ms);
+  }
+  out << "  ],\n";
   out << "  \"per_run_wall_ms\": [";
   for (std::size_t i = 0; i < serial.rows.size(); ++i) {
     if (i > 0) out << ", ";
@@ -189,12 +168,7 @@ int WriteBenchArtifact(const SweepSpec& spec, unsigned jobs,
   out << "],\n";
   out << "  \"deterministic_across_jobs\": true\n";
   out << "}\n";
-  std::printf("bench: serial %.1f ms, parallel %.1f ms (x%.2f at jobs=%u), "
-              "batched %.1f ms (x%.2f at batch-seeds=%zu); wrote %s\n",
-              serial.wall_ms, parallel.wall_ms,
-              serial.wall_ms / parallel.wall_ms, parallel.jobs,
-              batched.wall_ms, serial.wall_ms / batched.wall_ms, batch_seeds,
-              path.c_str());
+  std::printf("bench: wrote %s\n", path.c_str());
   return 0;
 }
 
@@ -206,8 +180,6 @@ int Main(int argc, char** argv) {
       "grids=4,6,8,10 workloads=C modes=baseline,ttmqo seeds=1 "
       "duration-ms=245760 collisions=0.02");
   const auto jobs = static_cast<unsigned>(flags.GetInt("jobs", 0));
-  const auto batch_seeds =
-      static_cast<std::size_t>(flags.GetInt("batch-seeds", 1));
   const auto out_path = flags.GetOptional("out");
   const auto csv_path = flags.GetOptional("csv");
   const auto metrics_path = flags.GetOptional("metrics-out");
@@ -221,13 +193,12 @@ int Main(int argc, char** argv) {
               spec.TaskCount());
 
   if (bench_out.has_value()) {
-    return WriteBenchArtifact(spec, jobs, std::max<std::size_t>(batch_seeds, 8),
-                              *bench_out);
+    return WriteBenchArtifact(spec, jobs, *bench_out);
   }
 
   MetricsRegistry registry;
-  const SweepReport report = RunSweep(
-      spec, jobs, metrics_path.has_value() ? &registry : nullptr, batch_seeds);
+  const SweepReport report =
+      RunSweep(spec, jobs, metrics_path.has_value() ? &registry : nullptr);
   PrintSummary(report);
   if (metrics_path.has_value()) {
     std::ofstream out = OpenOutput(*metrics_path);

@@ -130,18 +130,4 @@ struct RunResult {
 RunResult RunExperiment(const RunConfig& config,
                         const std::vector<WorkloadEvent>& schedule);
 
-/// True when `a` and `b` can share one lockstep batched event loop: the
-/// engine-shared parameters — grid deployment, radio, channel, duration,
-/// maintenance beacons — must match.  Per-lane parameters (seed, mode,
-/// alpha, reliability, faults, workload, observability, ...) may differ.
-bool BatchCompatible(const RunConfig& a, const RunConfig& b);
-
-/// Runs `configs[l]` under `schedules[l]` for every lane `l` (1..64 lanes)
-/// through one lockstep batched event loop (DESIGN.md note 21).  All
-/// configs must be pairwise `BatchCompatible`.  Results are byte-identical
-/// to calling `RunExperiment` once per lane.
-std::vector<RunResult> RunExperimentBatch(
-    const std::vector<RunConfig>& configs,
-    const std::vector<std::vector<WorkloadEvent>>& schedules);
-
 }  // namespace ttmqo

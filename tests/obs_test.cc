@@ -356,20 +356,32 @@ TEST(FlightTest, RingKeepsTheNewestRecords) {
             300 - static_cast<std::int64_t>(records.size()));
 }
 
-TEST(FlightTest, SimulatorTeardownClearsThisThreadsRing) {
+TEST(FlightTest, RunRecordsOutliveTheRunUntilTheNextSimulator) {
   obs::ClearFlightRecords();
   obs::ArmFlightRecorder();
+  obs::RecordFlight("obs.test.earlier_run", 1);
   {
     Simulator sim;
+    // A new simulator starts with an empty ring: an earlier in-process
+    // run's tail can't leak into this run's postmortem.
+    EXPECT_TRUE(CollectFlightRecords().empty());
     sim.ScheduleAt(1, [] {});
     sim.ScheduleAt(2, [] {});
     sim.RunUntil(10);
-    EXPECT_FALSE(CollectFlightRecords().empty());  // sim.event was recorded
   }
-  // The destructor must clear the thread's ring so a back-to-back
-  // in-process run can't interleave this run's tail into its postmortem.
-  EXPECT_TRUE(CollectFlightRecords().empty());
+  // After the run returns the ring still holds its records, so a caller
+  // checking the run's invariants can dump them.
+  const std::vector<FlightEntry> records = CollectFlightRecords();
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_STREQ(records[0].kind, "sim.event");
+  EXPECT_EQ(records[0].sim_time, 1);
+  EXPECT_EQ(records[1].sim_time, 2);
+  {
+    Simulator next;
+    EXPECT_TRUE(CollectFlightRecords().empty());
+  }
   obs::DisarmFlightRecorder();
+  obs::ClearFlightRecords();
 }
 
 // ---------------------------------------------------------- postmortem --
